@@ -21,13 +21,14 @@ use ptatin_fem::assemble::Q2QuadTables;
 use ptatin_fem::bc::DirichletBc;
 use ptatin_fem::pattern::ViscousPattern;
 use ptatin_la::chebyshev::Chebyshev;
+use ptatin_la::cholesky::SparseCholesky;
 use ptatin_la::csr::Csr;
 use ptatin_la::operator::{LinearOperator, Preconditioner};
 use ptatin_la::par;
-use ptatin_la::schwarz::DirectSolver;
 use ptatin_la::simd::{runtime_simd_path, F64x4};
 use ptatin_la::transfer::BatchedTransfer;
 use ptatin_mesh::hierarchy::{expand_blocked, prolongation_scalar};
+use ptatin_mesh::nd::nested_dissection_order;
 use ptatin_mesh::sfc::{expand_permutation, morton_node_permutation};
 use ptatin_mg::{filter_transfer, ArcOp, GeometricMg, GmgCoarseSolver, GmgLevel};
 use ptatin_mpm::points::seed_regular;
@@ -249,7 +250,8 @@ fn per_kernel_at_current_nt(m: usize, iters: usize) -> Vec<PerKernelEntry> {
                 lvls.push(GmgLevel::from_csr(a, smoother));
             }
         }
-        let coarse = GmgCoarseSolver::Direct(DirectSolver::new(&ops[0]));
+        let order = nested_dissection_order(&meshes[0], 3);
+        let coarse = GmgCoarseSolver::Direct(SparseCholesky::new(&ops[0], &order));
         let mg = GeometricMg::new(lvls, ps.clone(), coarse, 2, 2);
         if scalar {
             mg.with_scalar_pipeline()

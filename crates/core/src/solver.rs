@@ -9,15 +9,17 @@ use ptatin_fem::assemble::{
 use ptatin_fem::bc::DirichletBc;
 use ptatin_fem::pattern::ViscousPattern;
 use ptatin_la::chebyshev::{Chebyshev, FusedPlan};
+use ptatin_la::cholesky::SparseCholesky;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, gcr_monitored, KrylovConfig, Monitor, SolveStats};
 use ptatin_la::operator::{LinearOperator, Preconditioner, TimedOperator};
-use ptatin_la::schwarz::{grow_overlap, AdditiveSchwarz, DirectSolver, SubdomainSolve};
+use ptatin_la::schwarz::{grow_overlap, AdditiveSchwarz, SubdomainSolve};
 use ptatin_la::simd::{runtime_simd_path, F64x4};
 use ptatin_la::transfer::BatchedTransfer;
 use ptatin_la::vec_ops;
 use ptatin_mesh::decomp::nodes_to_dofs;
 use ptatin_mesh::hierarchy::{expand_blocked, prolongation_scalar, MeshHierarchy};
+use ptatin_mesh::nd::nested_dissection_order;
 use ptatin_mesh::sfc::{expand_permutation, morton_node_permutation};
 use ptatin_mesh::ElementPartition;
 use ptatin_mg::amg::{build_sa_amg, AmgConfig};
@@ -43,7 +45,8 @@ pub enum CoarseKind {
         /// Subdomain count of the AMG-coarsest block-Jacobi/LU solve.
         coarse_blocks: usize,
     },
-    /// Exact dense LU (small problems, tests).
+    /// Exact sparse Cholesky under a nested-dissection order of the
+    /// coarsest mesh (the zoo scenarios, the goldens, tests).
     Direct,
     /// One application of block-Jacobi with exact LU per subdomain.
     BlockJacobiLu { subdomains: usize },
@@ -129,7 +132,8 @@ pub struct GmgTimers {
     pub level_ops: Vec<Arc<TimedOperator<ArcOp>>>,
     /// Setup wall time (s), including assembly, RAP, AMG setup, λ estimates.
     pub setup_seconds: f64,
-    /// AMG coarse-hierarchy setup time if applicable.
+    /// Coarse-solver setup time (s) for every coarse kind: the interval
+    /// the `setup/coarse` profiling scope times.
     pub coarse_setup_seconds: f64,
 }
 
@@ -652,10 +656,13 @@ pub fn build_stokes_solver_spec_cached(
     // Coarse solver from the coarsest assembled matrix.
     // PANIC-OK: every branch above assigns assembled[0].
     let a0 = assembled[0].take().expect("coarsest matrix built");
-    let mut coarse_setup_seconds = 0.0;
+    let coarse_t0 = std::time::Instant::now();
     let _coarse_scope = prof::scope("setup/coarse");
     let coarse = match &cfg.coarse {
-        CoarseKind::Direct => GmgCoarseSolver::Direct(DirectSolver::new(&a0)),
+        CoarseKind::Direct => {
+            let order = nested_dissection_order(&hier.meshes[0], 3);
+            GmgCoarseSolver::Direct(SparseCholesky::new(&a0, &order))
+        }
         CoarseKind::BlockJacobiLu { subdomains } => {
             let part = ElementPartition::auto(&hier.meshes[0], *subdomains);
             let sets = nodes_to_dofs(&part.owned_nodes(&hier.meshes[0]), 3);
@@ -696,7 +703,6 @@ pub fn build_stokes_solver_spec_cached(
                 ..AmgConfig::default()
             };
             let amg = build_sa_amg(a0.clone(), &nullspace, &amg_cfg);
-            coarse_setup_seconds = amg.setup_seconds;
             GmgCoarseSolver::AmgPcg {
                 a: a0,
                 hierarchy: amg,
@@ -706,6 +712,7 @@ pub fn build_stokes_solver_spec_cached(
         }
     };
     drop(_coarse_scope);
+    let coarse_setup_seconds = coarse_t0.elapsed().as_secs_f64();
 
     // Smoothed levels: 1..levels-1 assembled, finest the chosen kind.
     let mut level_ops: Vec<Arc<TimedOperator<ArcOp>>> = Vec::new();

@@ -1,6 +1,7 @@
 //! Small dense linear algebra: 3×3 geometry kernels, general LU with
-//! partial pivoting (coarse-grid direct solves, block-Jacobi blocks) and
-//! Householder QR (smoothed-aggregation tentative prolongators).
+//! partial pivoting (AMG-coarsest and coupled coarse solves, block-Jacobi
+//! blocks) and Householder QR (smoothed-aggregation tentative
+//! prolongators).
 
 /// Row-major dense matrix.
 #[derive(Clone, Debug)]

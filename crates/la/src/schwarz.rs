@@ -1,5 +1,8 @@
-//! Domain-decomposition preconditioners: sparse-direct (dense LU) solves,
-//! block-Jacobi and (overlapping) additive Schwarz.
+//! Domain-decomposition preconditioners: dense-LU direct solves,
+//! block-Jacobi and (overlapping) additive Schwarz. The geometric
+//! multigrid's exact coarse solve is the sparse Cholesky factor of
+//! [`crate::cholesky`]; dense LU stays where no mesh order exists or the
+//! matrix is indefinite (DESIGN.md §15).
 //!
 //! These provide the coarse-grid solvers of the paper: "the coarse level
 //! solver was defined via a block Jacobi preconditioner, with an exact LU
@@ -85,8 +88,8 @@ impl BlockFactor {
     }
 }
 
-/// Exact solve of the full matrix via dense LU; the coarsest-level solver
-/// of the AMG hierarchy.
+/// Exact solve of the full matrix via dense LU: the coarsest-level solver
+/// of the AMG hierarchy and of the (indefinite) coupled-Vanka multigrid.
 pub struct DirectSolver {
     lu: DenseLu,
 }

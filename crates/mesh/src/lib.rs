@@ -7,11 +7,13 @@
 //! substrate: an IJK-structured grid of Q2 elements whose nodes may sit
 //! anywhere in space (boundary-fitted free surfaces), nodally-nested
 //! coarsening for geometric multigrid, trilinear prolongation on the Q2
-//! node grid, subdomain decomposition, and the ALE vertical remeshing used
-//! by the free-surface models.
+//! node grid, subdomain decomposition, node orderings (Morton for the
+//! smoother, nested dissection for the coarse Cholesky factor), and the ALE
+//! vertical remeshing used by the free-surface models.
 
 pub mod decomp;
 pub mod hierarchy;
+pub mod nd;
 pub mod sfc;
 
 pub use decomp::ElementPartition;

@@ -171,8 +171,6 @@ pub struct AmgHierarchy {
     /// Fine → coarse.
     levels: Vec<AmgLevel>,
     coarse: CoarseSolve,
-    /// Setup wall-time in seconds (reported in Tables II/IV).
-    pub setup_seconds: f64,
 }
 
 /// Greedy aggregation on the strength graph; returns per-node aggregate id
@@ -363,9 +361,6 @@ fn tentative_prolongator(
 /// Build a smoothed-aggregation hierarchy for `a` with near-nullspace `b`.
 pub fn build_sa_amg(a: Csr, b: &DenseMatrix, cfg: &AmgConfig) -> AmgHierarchy {
     let _ev = prof::scope("PCSetUp_AMG");
-    // DETERMINISM-OK: setup wall-clock feeds the reported statistics only
-    // and never influences the hierarchy that is built.
-    let start = std::time::Instant::now();
     let k = b.ncols;
     let mut levels: Vec<AmgLevel> = Vec::new();
     let mut a_cur = a;
@@ -420,11 +415,7 @@ pub fn build_sa_amg(a: Csr, b: &DenseMatrix, cfg: &AmgConfig) -> AmgHierarchy {
         p: p_from_coarser.take(),
         smoother: None,
     });
-    AmgHierarchy {
-        levels,
-        coarse,
-        setup_seconds: start.elapsed().as_secs_f64(),
-    }
+    AmgHierarchy { levels, coarse }
 }
 
 impl AmgHierarchy {

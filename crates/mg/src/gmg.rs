@@ -2,14 +2,15 @@
 //! the paper): Chebyshev(Jacobi) smoothing on every level, trilinear
 //! prolongation / transposed restriction, coarse operators either
 //! rediscretized or Galerkin, and a pluggable coarsest-level solver (GAMG
-//! V-cycle, block-Jacobi+LU, inexact Krylov+ASM, or direct LU).
+//! V-cycle, block-Jacobi+LU, inexact Krylov+ASM, or sparse Cholesky).
 
 use crate::amg::AmgHierarchy;
 use ptatin_la::chebyshev::{Chebyshev, FusedPlan};
+use ptatin_la::cholesky::SparseCholesky;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::{cg, fgmres, KrylovConfig};
 use ptatin_la::operator::{LinearOperator, Preconditioner};
-use ptatin_la::schwarz::{AdditiveSchwarz, DirectSolver};
+use ptatin_la::schwarz::AdditiveSchwarz;
 use ptatin_la::transfer::BatchedTransfer;
 use ptatin_la::vec_ops;
 use ptatin_prof as prof;
@@ -50,8 +51,9 @@ pub enum GmgCoarseSolver {
         rtol: f64,
         max_it: usize,
     },
-    /// Exact dense LU.
-    Direct(DirectSolver),
+    /// Exact sparse Cholesky factor under a nested-dissection order of the
+    /// coarsest mesh (`ptatin_mesh::nd`).
+    Direct(SparseCholesky),
     /// One application of block-Jacobi with per-block LU.
     BlockJacobiLu(AdditiveSchwarz),
     /// Inexact CG preconditioned with (overlapping) additive Schwarz —
@@ -85,7 +87,7 @@ impl GmgCoarseSolver {
                     .with_max_it(*max_it);
                 let _ = cg(a, hierarchy, b, x, &cfg);
             }
-            GmgCoarseSolver::Direct(lu) => lu.apply(b, x),
+            GmgCoarseSolver::Direct(chol) => chol.apply(b, x),
             GmgCoarseSolver::BlockJacobiLu(pc) => pc.apply(b, x),
             GmgCoarseSolver::InexactCgAsm {
                 a,
@@ -589,6 +591,7 @@ mod tests {
     use ptatin_fem::bc::DirichletBc;
     use ptatin_la::krylov::gcr;
     use ptatin_mesh::hierarchy::{expand_blocked, prolongation_scalar, MeshHierarchy};
+    use ptatin_mesh::nd::nested_dissection_order;
     use ptatin_mesh::StructuredMesh;
 
     /// Build a 2- or 3-level GMG for the constrained viscous operator on a
@@ -630,7 +633,8 @@ mod tests {
         // Replace coarsest op by Galerkin from the level above (the paper's
         // robust choice) and solve it directly.
         let ac = galerkin_coarse(&ops[1], &ps[0], &masks[0]);
-        let coarse = GmgCoarseSolver::Direct(DirectSolver::new(&ac));
+        let order = nested_dissection_order(&hier.meshes[0], 3);
+        let coarse = GmgCoarseSolver::Direct(SparseCholesky::new(&ac, &order));
         let fine_a = ops.last().unwrap().clone();
         let mut lvls = Vec::new();
         for a in ops.into_iter().skip(1) {

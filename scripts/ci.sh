@@ -176,6 +176,14 @@ if [[ $FAST -eq 0 ]]; then
     step "registry-driven shear-band scenario (CLI end to end)"
     PTATIN_TEST_THREADS=2 target/release/ptatin scenario \
         file=examples/scenarios/shear_band.scn
+
+    # The benchmark's own unit checks and smoke-size runs of every
+    # workload (perfbench/ is a separate cargo workspace). The smoke runs
+    # check their outputs against the recorded references — the solcx
+    # analytic errors among them — so a solver change that moves a
+    # reference fails here, not first in a benchmark run.
+    step "perfbench unit checks + smoke runs against the references"
+    cargo test --release --manifest-path perfbench/Cargo.toml
 fi
 
 step "rustfmt"

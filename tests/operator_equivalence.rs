@@ -807,3 +807,73 @@ fn sfc_reorder_preserves_sinker_krylov_counts() {
         );
     }
 }
+
+use ptatin_core::models::falling_block::falling_block_bc;
+use ptatin_core::models::shear_band::shear_band_bc;
+use ptatin_fem::assemble::assemble_viscous;
+use ptatin_la::cholesky::{Regularization, SparseCholesky};
+use ptatin_la::csr::Csr;
+use ptatin_la::schwarz::DirectSolver;
+use ptatin_mesh::hierarchy::{prolongation_scalar, MeshHierarchy};
+use ptatin_mesh::nd::nested_dissection_order;
+use ptatin_mg::galerkin_coarse;
+
+/// Galerkin coarse matrix of a two-level hierarchy built the way the
+/// production solver builds it — assembled fine operator with its
+/// Dirichlet rows/columns replaced by identity, masked blocked
+/// prolongation, `RAP` — with a log-uniform viscosity spanning 10⁴.
+fn galerkin_coarse_matrix(
+    fine_elems: [usize; 3],
+    bc: &dyn Fn(&StructuredMesh) -> DirichletBc,
+    seed: u64,
+) -> (StructuredMesh, Csr) {
+    let [mx, my, mz] = fine_elems;
+    let fine = StructuredMesh::new_box(mx, my, mz, [0.0, 2.0], [0.0, 0.5], [0.0, 1.0]);
+    let hier = MeshHierarchy::new(fine, 2);
+    let masks: Vec<Vec<bool>> = hier
+        .meshes
+        .iter()
+        .map(|m| bc(m).mask(3 * m.num_nodes()))
+        .collect();
+    let tables = Q2QuadTables::standard();
+    let mut rng = SplitMix64::seed_from_u64(seed);
+    let eta: Vec<f64> = (0..hier.meshes[1].num_elements() * tables.nqp())
+        .map(|_| 10f64.powf(4.0 * rng.next_f64() - 2.0))
+        .collect();
+    let mut a = assemble_viscous(&hier.meshes[1], &tables, &eta);
+    a.zero_rows_cols_set_identity(&bc(&hier.meshes[1]).dofs);
+    let mut p = expand_blocked(&prolongation_scalar(&hier.meshes[0], &hier.meshes[1]), 3);
+    filter_transfer(&mut p, &masks[1], &masks[0]);
+    let ac = galerkin_coarse(&a, &p, &masks[0]);
+    (hier.meshes[0].clone(), ac)
+}
+
+#[test]
+fn sparse_cholesky_matches_dense_lu_on_zoo_coarse_matrices() {
+    // The coarse shapes of the zoo: falling_block (9³ coarse nodes),
+    // shear_band (17×3×9), solcx (9×3×9).
+    let cases: [(&str, [usize; 3], &dyn Fn(&StructuredMesh) -> DirichletBc); 3] = [
+        ("falling_block", [8, 8, 8], &|m| falling_block_bc(m, true)),
+        ("shear_band", [16, 2, 8], &|m| shear_band_bc(m, 1.0, false)),
+        ("solcx", [8, 2, 8], &|m| falling_block_bc(m, true)),
+    ];
+    for (seed, (label, elems, bc)) in cases.into_iter().enumerate() {
+        let (coarse, ac) = galerkin_coarse_matrix(elems, bc, seed as u64);
+        let n = ac.nrows();
+        assert_eq!(n, 3 * coarse.num_nodes(), "{label}");
+        let chol = SparseCholesky::new(&ac, &nested_dissection_order(&coarse, 3));
+        assert_eq!(chol.regularization(), Regularization::None, "{label}");
+        let lu = DirectSolver::new(&ac);
+        let mut rng = SplitMix64::seed_from_u64(17 + seed as u64);
+        for _ in 0..3 {
+            let b = random_vector(&mut rng, n);
+            let (mut xc, mut xd) = (vec![0.0; n], vec![0.0; n]);
+            chol.apply(&b, &mut xc);
+            lu.apply(&b, &mut xd);
+            let norm = |v: &[f64]| v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+            let diff: Vec<f64> = xc.iter().zip(&xd).map(|(p, q)| p - q).collect();
+            let rel = norm(&diff) / norm(&xd);
+            assert!(rel <= 1e-12, "{label}: Cholesky vs LU differ by {rel:.2e}");
+        }
+    }
+}

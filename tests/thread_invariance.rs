@@ -14,7 +14,7 @@
 //! these explicit sweeps (scripts/ci.sh).
 
 use ptatin_bench::{paper_gmg_config, sinker_setup};
-use ptatin_core::solver::{GmgConfig, KrylovOperatorChoice};
+use ptatin_core::solver::{CoarseKind, GmgConfig, KrylovOperatorChoice};
 use ptatin_la::chebyshev::Chebyshev;
 use ptatin_la::csr::Csr;
 use ptatin_la::krylov::KrylovConfig;
@@ -104,6 +104,26 @@ fn sinker_solve_invariant_under_thread_count() {
         .map(|nt| (nt, solve_sinker(&gmg, nt)))
         .collect();
     assert_thread_invariant("GMG-i(tensor)", &runs);
+}
+
+#[test]
+fn direct_coarse_solve_bitwise_across_thread_counts() {
+    // The sparse Cholesky coarse solve is serial, and every parallel
+    // reduction around it is grouped by problem size alone, so the whole
+    // direct-coarse GMG solve must be bitwise identical at nt = 1 and 4.
+    let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let gmg = GmgConfig {
+        levels: 2,
+        coarse: CoarseKind::Direct,
+        ..paper_gmg_config(2, OperatorKind::Tensor)
+    };
+    let a = solve_sinker(&gmg, 1);
+    let b = solve_sinker(&gmg, 4);
+    assert_eq!(a.iterations, b.iterations);
+    assert_eq!(a.final_residual.to_bits(), b.final_residual.to_bits());
+    for i in 0..a.x.len() {
+        assert_eq!(a.x[i].to_bits(), b.x[i].to_bits(), "dof {i} differs");
+    }
 }
 
 #[test]
