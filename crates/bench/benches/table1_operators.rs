@@ -128,8 +128,9 @@ fn run_at_current_nt(m: usize, iters: usize) -> (Vec<KernelEntry>, f64) {
 ///   interpolation over a 27-points-per-element swarm,
 /// * `transfer` — one restriction plus one prolongation through the finest
 ///   grid-transfer operator (scalar CSR vs lane-packed SIMD),
-/// * `smoother` — four Chebyshev iterations on the assembled fine matrix,
-///   full-mesh sweeps vs the profitability-gated cache-blocked pipeline,
+/// * `smoother` — four Chebyshev iterations on the matrix-free fine level
+///   production smooths: the scalar tensor operator vs the SIMD-batched
+///   one,
 /// * `vcycle` — one GMG V(2,2) application: the fully scalar pipeline
 ///   (scalar tensor fine operator, CSR transfers, unfused smoothing) vs
 ///   the fully batched one (SIMD tensor operator, batched transfers,
@@ -157,26 +158,22 @@ fn per_kernel_at_current_nt(m: usize, iters: usize) -> Vec<PerKernelEntry> {
         let _ = projection::corners_to_quadrature(fine, &tables, &c);
     });
 
-    // Per-level assembled operators, masks and filtered transfers (unit
-    // viscosity off the finest level — the timings don't depend on the
-    // coefficient values).
+    // Assembled operators below the (matrix-free) fine level, masks and
+    // filtered transfers (unit viscosity — the timings don't depend on
+    // the coefficient values).
     let bcs: Vec<DirichletBc> = meshes.iter().map(sinker_bc).collect();
-    let ops: Vec<Csr> = meshes
-        .iter()
-        .enumerate()
-        .map(|(l, mm)| {
-            let eta = if l == levels - 1 {
-                fields.eta_qp.clone()
-            } else {
-                vec![1.0; mm.num_elements() * tables.nqp()]
-            };
-            assembled_viscous_op(mm, &tables, &eta, &bcs[l])
-        })
-        .collect();
-    let masks: Vec<Vec<bool>> = ops
+    let ops: Vec<Csr> = meshes[..levels - 1]
         .iter()
         .zip(&bcs)
-        .map(|(a, bc)| bc.mask(a.nrows()))
+        .map(|(mm, bc)| {
+            let eta = vec![1.0; mm.num_elements() * tables.nqp()];
+            assembled_viscous_op(mm, &tables, &eta, bc)
+        })
+        .collect();
+    let masks: Vec<Vec<bool>> = meshes
+        .iter()
+        .zip(&bcs)
+        .map(|(mm, bc)| bc.mask(3 * mm.num_nodes()))
         .collect();
     let ps: Vec<Csr> = (0..levels - 1)
         .map(|l| {
@@ -202,37 +199,33 @@ fn per_kernel_at_current_nt(m: usize, iters: usize) -> Vec<PerKernelEntry> {
         bt.prolong(&xc, &mut corr);
     });
 
-    // Chebyshev smoothing on the assembled fine matrix, depth 4. The
-    // batched side is the gated production pipeline: the cache-blocked
-    // fused sweep where the plan's halo redundancy is profitable, plain
-    // sweeps otherwise (3D Q2 blocks reject fusing at bench sizes — the
-    // documented negative result).
-    let af = ops.last().expect("at least two levels");
-    let cheb = Chebyshev::new(af, 2, 10);
-    let plan = Some(cheb.fused_plan(af, 4, 0)).filter(|p| p.profitable());
+    // Chebyshev smoothing, depth 4, on the matrix-free fine level that
+    // production smooths (DESIGN.md §16): the scalar tensor operator vs
+    // the SIMD-batched one, same η, bc and λ bounds.
+    let data = Arc::new(ViscousOpData::new(
+        fine,
+        fields.eta_qp.clone(),
+        &bcs[levels - 1],
+    ));
+    let op_tensor = TensorViscousOp::new(data.clone());
+    let op_batched = BatchedViscousOp::new(data.clone());
+    let cheb = Chebyshev::new(&op_tensor, 2, 10);
     let b: Vec<f64> = masks
         .last()
         .expect("masks per level")
         .iter()
         .map(|&m| if m { 0.0 } else { 1.0 })
         .collect();
-    let mut xs = vec![0.0; af.nrows()];
-    let sm_scalar = time_it(iters, || cheb.smooth_with(af, &b, &mut xs, 4));
-    let mut xb = vec![0.0; af.nrows()];
-    let sm_batched = time_it(iters, || match &plan {
-        Some(p) => cheb.apply_fused(af, p, &b, &mut xb, 4),
-        None => cheb.smooth_with(af, &b, &mut xb, 4),
-    });
+    let nf = b.len();
+    let mut xs = vec![0.0; nf];
+    let sm_scalar = time_it(iters, || cheb.smooth_with(&op_tensor, &b, &mut xs, 4));
+    let mut xb = vec![0.0; nf];
+    let sm_batched = time_it(iters, || cheb.smooth_with(&op_batched, &b, &mut xb, 4));
 
     // One V(2,2) through the scalar vs the batched pipeline. The fine
     // level is the matrix-free tensor operator in its scalar vs SIMD
     // variant (the production fine-level kind); intermediate levels are
     // assembled and smooth fused only on the batched side.
-    let data = Arc::new(ViscousOpData::new(
-        fine,
-        fields.eta_qp.clone(),
-        &bcs[levels - 1],
-    ));
     let build_mg = |scalar: bool| -> GeometricMg {
         let mut lvls = Vec::new();
         for l in 1..levels {
@@ -259,7 +252,7 @@ fn per_kernel_at_current_nt(m: usize, iters: usize) -> Vec<PerKernelEntry> {
             mg
         }
     };
-    let mut z = vec![0.0; af.nrows()];
+    let mut z = vec![0.0; nf];
     let mg_s = build_mg(true);
     let vc_scalar = time_it(iters, || mg_s.apply(&b, &mut z));
     let mg_b = build_mg(false);

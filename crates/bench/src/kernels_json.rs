@@ -35,7 +35,8 @@
 //! `per_kernel` covers the rest of the per-step pipeline (the operator
 //! entries above cover the viscous-block apply): the MPM projection pair
 //! (P2G + G2P), the grid transfer (restrict + prolong), the Chebyshev
-//! smoother (cache-blocked fused vs full-mesh sweeps), one GMG V-cycle
+//! smoother on the matrix-free fine level (scalar tensor vs SIMD-batched
+//! operator), one GMG V-cycle
 //! through the scalar vs the batched pipeline, and the `whole_step`
 //! composite (one projection + [`WHOLE_STEP_VCYCLES`] V-cycles — roughly
 //! one Stokes solve per time step). Every run must carry all

@@ -33,7 +33,7 @@ use ptatin_mpm::advect::{advect_rk2, cull_lost, relocate_all};
 use ptatin_mpm::locate::ElementLocator;
 use ptatin_mpm::points::{seed_regular, MaterialPoints};
 use ptatin_mpm::population::{control_population, PopulationConfig};
-use ptatin_ops::{OperatorKind, TensorViscousOp, ViscousOpData};
+use ptatin_ops::{TensorViscousOp, ViscousOpData};
 use ptatin_prng::{Rng, StdRng};
 use ptatin_rheology::{DruckerPrager, Material, MaterialTable, Plasticity, ViscousLaw};
 use std::sync::Arc;
@@ -93,7 +93,6 @@ impl Default for RiftConfig {
             },
             gmg: GmgConfig {
                 levels: 2,
-                fine_kind: OperatorKind::Tensor,
                 coarse: CoarseKind::InexactCgAsm {
                     subdomains: 4,
                     overlap: 2,

@@ -73,14 +73,19 @@ pub enum CoefficientRestriction {
 pub struct GmgConfig {
     /// Number of geometric levels (paper: 3).
     pub levels: usize,
-    /// Operator application on the finest level.
+    /// Operator of the finest level: its smoother, λmax estimate and
+    /// diagonal, and the Picard Krylov matvec (`StokesSolver::a_fine`).
+    /// The default is the SIMD-batched matrix-free kernel (paper §IV-A);
+    /// only `Assembled` gives a CSR fine level.
     pub fine_kind: OperatorKind,
     /// Intermediate levels via Galerkin projection of the level above
-    /// (requires an assembled finer level — GMG-ii) instead of
+    /// (requires `fine_kind = Assembled` — GMG-ii) instead of
     /// rediscretization (GMG-i).
     pub galerkin_intermediate: bool,
     /// Coarsest operator via Galerkin projection (paper default) instead
-    /// of rediscretization.
+    /// of rediscretization. On a 2-level hierarchy the fine matrix is then
+    /// assembled as the RAP input only and dropped once the product
+    /// exists, unless `fine_kind = Assembled`.
     pub galerkin_coarsest: bool,
     /// V(m,n) smoothing depths.
     pub pre_smooth: usize,
@@ -110,7 +115,7 @@ impl Default for GmgConfig {
     fn default() -> Self {
         Self {
             levels: 3,
-            fine_kind: OperatorKind::Tensor,
+            fine_kind: OperatorKind::TensorBatched,
             galerkin_intermediate: false,
             galerkin_coarsest: true,
             pre_smooth: 2,
@@ -356,35 +361,36 @@ impl SetupCache {
 }
 
 /// Assemble (or numerically re-assemble) the bc-eliminated viscous matrix
-/// of one level through its cached sparsity pattern. Bitwise identical to
+/// of level `l` through its cached sparsity pattern. Bitwise identical to
 /// `ptatin_ops::assembled_viscous_op` — same pattern, same batched numeric
 /// phase, same elimination — with the symbolic phase and the value/scratch
 /// allocations amortized across rebuilds.
-fn assembled_level_cached(
-    pattern: &mut Option<ViscousPattern>,
-    values: &mut Vec<f64>,
-    lane_scratch: &mut Vec<F64x4>,
-    mesh: &ptatin_mesh::StructuredMesh,
+fn assemble_level(
+    cache: &mut SetupCache,
+    hier: &MeshHierarchy,
     tables: &Q2QuadTables,
-    eta_qp: &[f64],
-    bc: &DirichletBc,
+    eta_qp: &[Vec<f64>],
+    bcs: &[DirichletBc],
+    l: usize,
 ) -> Csr {
     let _s = prof::scope("setup/assembly");
-    let pat = pattern.get_or_insert_with(|| ViscousPattern::build(mesh));
+    let mesh = &hier.meshes[l];
+    let pat = cache.patterns[l].get_or_insert_with(|| ViscousPattern::build(mesh));
     // Grow-once value buffer, reused across re-assemblies.
+    let values = &mut cache.values[l];
     values.resize(pat.nnz(), 0.0);
     viscous_numeric_batched_into(
         pat,
         mesh,
         tables,
-        eta_qp,
+        &eta_qp[l],
         runtime_simd_path(),
-        lane_scratch,
+        &mut cache.lane_scratch,
         values,
     );
     let mut a = pat.to_csr(values.clone());
-    if !bc.is_empty() {
-        a.zero_rows_cols_set_identity(&bc.dofs);
+    if !bcs[l].is_empty() {
+        a.zero_rows_cols_set_identity(&bcs[l].dofs);
     }
     a
 }
@@ -568,89 +574,51 @@ pub fn build_stokes_solver_spec_cached(
     drop(_tr_scope);
 
     // Level operators. Intermediate levels are assembled (rediscretized or
-    // Galerkin); the finest is the chosen kind; the coarsest matrix feeds
-    // the coarse solver. Assembly goes through the per-level cached
-    // patterns; Galerkin products reuse the cached transfer transposes.
+    // Galerkin) through their cached patterns; the coarsest matrix feeds
+    // the coarse solver. The finest level applies `cfg.fine_kind`: its
+    // matrix is assembled only when that kind is `Assembled` or as the
+    // input of a Galerkin product onto the level below, and in the latter
+    // case it is dropped as soon as the product exists (DESIGN.md §16).
+    let fine = levels - 1;
+    let keep_fine_csr = cfg.fine_kind == OperatorKind::Assembled;
     let mut assembled: Vec<Option<Csr>> = vec![None; levels];
-    if levels >= 2 {
-        if cfg.galerkin_intermediate {
-            assert_eq!(
-                cfg.fine_kind,
-                OperatorKind::Assembled,
-                "Galerkin intermediate levels require an assembled fine level"
-            );
-            assembled[levels - 1] = Some(assembled_level_cached(
-                &mut cache.patterns[levels - 1],
-                &mut cache.values[levels - 1],
-                &mut cache.lane_scratch,
-                fine_mesh,
-                &tables,
-                &eta_qp[levels - 1],
-                &bcs[levels - 1],
-            ));
-            for l in (0..levels - 1).rev() {
-                let _s = prof::scope("setup/rap");
-                let pt = cache.transfer_t[l].get_or_insert_with(|| transfers[l].transpose());
-                // PANIC-OK: the finest level was assembled just above and
-                // the loop runs top-down, so level l+1 is always filled.
-                let above = assembled[l + 1].as_ref().unwrap();
-                let ac = galerkin_coarse_with_pt(above, &transfers[l], pt, &masks[l]);
-                assembled[l] = Some(ac);
-            }
-        } else {
-            // Rediscretize intermediates; coarsest per flag.
-            for l in 1..levels - 1 {
-                assembled[l] = Some(assembled_level_cached(
-                    &mut cache.patterns[l],
-                    &mut cache.values[l],
-                    &mut cache.lane_scratch,
-                    &hier.meshes[l],
-                    &tables,
-                    &eta_qp[l],
-                    &bcs[l],
-                ));
-            }
-            assembled[0] = Some(if cfg.galerkin_coarsest && levels >= 2 {
-                if levels == 2 && assembled[1].is_none() {
-                    // Galerkin directly from the (assembled) fine level.
-                    assembled[1] = Some(assembled_level_cached(
-                        &mut cache.patterns[1],
-                        &mut cache.values[1],
-                        &mut cache.lane_scratch,
-                        fine_mesh,
-                        &tables,
-                        &eta_qp[1],
-                        &bcs[1],
-                    ));
-                }
-                let _s = prof::scope("setup/rap");
-                let pt = cache.transfer_t[0].get_or_insert_with(|| transfers[0].transpose());
-                // PANIC-OK: level 1 was filled by the rediscretization
-                // loop (levels > 2) or just above (levels == 2).
-                let above = assembled[1].as_ref().unwrap();
-                galerkin_coarse_with_pt(above, &transfers[0], pt, &masks[0])
-            } else {
-                assembled_level_cached(
-                    &mut cache.patterns[0],
-                    &mut cache.values[0],
-                    &mut cache.lane_scratch,
-                    &hier.meshes[0],
-                    &tables,
-                    &eta_qp[0],
-                    &bcs[0],
-                )
-            });
+    if cfg.galerkin_intermediate {
+        assert!(
+            keep_fine_csr,
+            "Galerkin intermediate levels require an assembled fine level"
+        );
+        assembled[fine] = Some(assemble_level(cache, hier, &tables, &eta_qp, bcs, fine));
+        for l in (0..fine).rev() {
+            let _s = prof::scope("setup/rap");
+            let pt = cache.transfer_t[l].get_or_insert_with(|| transfers[l].transpose());
+            // PANIC-OK: the finest level was assembled just above and
+            // the loop runs top-down, so level l+1 is always filled.
+            let above = assembled[l + 1].as_ref().unwrap();
+            assembled[l] = Some(galerkin_coarse_with_pt(above, &transfers[l], pt, &masks[l]));
         }
     } else {
-        assembled[0] = Some(assembled_level_cached(
-            &mut cache.patterns[0],
-            &mut cache.values[0],
-            &mut cache.lane_scratch,
-            &hier.meshes[0],
-            &tables,
-            &eta_qp[0],
-            &bcs[0],
-        ));
+        for l in 1..fine {
+            assembled[l] = Some(assemble_level(cache, hier, &tables, &eta_qp, bcs, l));
+        }
+        assembled[0] = Some(if cfg.galerkin_coarsest && levels >= 2 {
+            // Level 1 is a rediscretized intermediate, or for a 2-level
+            // hierarchy the fine level, assembled here as the RAP input.
+            let above = match assembled[1].take() {
+                Some(a) => a,
+                None => assemble_level(cache, hier, &tables, &eta_qp, bcs, 1),
+            };
+            let _s = prof::scope("setup/rap");
+            let pt = cache.transfer_t[0].get_or_insert_with(|| transfers[0].transpose());
+            let ac = galerkin_coarse_with_pt(&above, &transfers[0], pt, &masks[0]);
+            // An intermediate stays for smoothing; the fine matrix only
+            // when it is the fine level's operator.
+            if fine > 1 || keep_fine_csr {
+                assembled[1] = Some(above);
+            }
+            ac
+        } else {
+            assemble_level(cache, hier, &tables, &eta_qp, bcs, 0)
+        });
     }
 
     // Coarse solver from the coarsest assembled matrix.
@@ -714,50 +682,35 @@ pub fn build_stokes_solver_spec_cached(
     drop(_coarse_scope);
     let coarse_setup_seconds = coarse_t0.elapsed().as_secs_f64();
 
-    // Smoothed levels: 1..levels-1 assembled, finest the chosen kind.
+    // Smoothed levels: intermediates assembled, the finest the configured
+    // kind (matrix-free unless `fine_kind = Assembled`).
     let mut level_ops: Vec<Arc<TimedOperator<ArcOp>>> = Vec::new();
     let mut gmg_levels: Vec<GmgLevel> = Vec::new();
     let plan_depth = cfg.pre_smooth.max(cfg.post_smooth).max(1);
     let mut assembled_smoothed = vec![false; levels];
     for l in 1..levels {
-        // Keep the `Arc<Csr>` of assembled levels alongside the timing
-        // wrapper: the fused cache-blocked smoother needs matrix rows,
-        // which the `dyn LinearOperator` interface cannot provide.
-        let (op, csr): (ArcOp, Option<Arc<Csr>>) = if l == levels - 1 {
-            match assembled[l].take() {
-                Some(a) => {
-                    let a = Arc::new(a);
-                    (a.clone() as ArcOp, Some(a))
-                }
-                None if cfg.fine_kind == OperatorKind::Assembled => {
-                    let a = Arc::new(assembled_level_cached(
-                        &mut cache.patterns[l],
-                        &mut cache.values[l],
-                        &mut cache.lane_scratch,
-                        fine_mesh,
-                        &tables,
-                        &eta_qp[l],
-                        &bcs[l],
-                    ));
-                    (a.clone() as ArcOp, Some(a))
-                }
-                None => (
-                    build_arc_operator(
-                        cfg.fine_kind,
-                        fine_mesh,
-                        &tables,
-                        eta_qp[l].clone(),
-                        &bcs[l],
-                        None,
-                        &mut cache.fine_base,
-                    ),
-                    None,
-                ),
-            }
+        // An assembled level keeps its `Arc<Csr>` beside the timing
+        // wrapper: the fused cache-blocked smoother reads matrix rows,
+        // which the `dyn LinearOperator` interface cannot provide. A
+        // matrix-free finest level has no rows and smooths with plain
+        // sweeps through its operator.
+        let (op, csr): (ArcOp, Option<Arc<Csr>>) = if l == fine && !keep_fine_csr {
+            let op = build_arc_operator(
+                cfg.fine_kind,
+                fine_mesh,
+                &tables,
+                eta_qp[l].clone(),
+                &bcs[l],
+                None,
+                &mut cache.fine_base,
+            );
+            (op, None)
         } else {
-            // PANIC-OK: the assembled-intermediates path above filled
-            // every level this branch visits.
-            let a = Arc::new(assembled[l].take().expect("intermediate assembled"));
+            let a = match assembled[l].take() {
+                Some(a) => a,
+                None => assemble_level(cache, hier, &tables, &eta_qp, bcs, l),
+            };
+            let a = Arc::new(a);
             (a.clone() as ArcOp, Some(a))
         };
         let timed = Arc::new(TimedOperator::new(op));

@@ -270,6 +270,12 @@ impl GmgLevel {
         self
     }
 
+    /// The level's assembled matrix, if it has one (`None` for a
+    /// matrix-free level).
+    pub fn matrix(&self) -> Option<&Csr> {
+        self.assembled.as_deref()
+    }
+
     /// The fused plan of the natural-order matrix, if one was kept.
     pub fn fused_plan_ref(&self) -> Option<&FusedPlan> {
         self.fused.as_deref()

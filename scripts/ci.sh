@@ -177,6 +177,22 @@ if [[ $FAST -eq 0 ]]; then
     PTATIN_TEST_THREADS=2 target/release/ptatin scenario \
         file=examples/scenarios/shear_band.scn
 
+    # End-to-end AVX/portable parity: the batched SIMD kernel runs in
+    # every smoothing sweep, λ estimate and Krylov matvec of the finest
+    # level, so the bitwise path contract must hold over whole nonlinear
+    # solves, not only single applies. Iteration counts and the {:.6e}
+    # metrics of both nonlinear zoo scenarios must match with AVX
+    # force-disabled.
+    step "scenario AVX vs portable parity (falling_block, shear_band)"
+    for scn in falling_block shear_band; do
+        PTATIN_TEST_THREADS=2 target/release/ptatin scenario \
+            file=examples/scenarios/$scn.scn > "$CKDIR/${scn}_avx.txt"
+        PTATIN_NO_AVX=1 PTATIN_TEST_THREADS=2 target/release/ptatin scenario \
+            file=examples/scenarios/$scn.scn > "$CKDIR/${scn}_portable.txt"
+        diff "$CKDIR/${scn}_avx.txt" "$CKDIR/${scn}_portable.txt" \
+            || { echo "$scn: AVX and portable runs differ"; exit 1; }
+    done
+
     # The benchmark's own unit checks and smoke-size runs of every
     # workload (perfbench/ is a separate cargo workspace). The smoke runs
     # check their outputs against the recorded references — the solcx

@@ -877,3 +877,259 @@ fn sparse_cholesky_matches_dense_lu_on_zoo_coarse_matrices() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Production-path guard: every production configuration smooths and runs
+// its Picard matvec matrix-free on the finest level (DESIGN.md §16).
+// ---------------------------------------------------------------------------
+
+use ptatin3d::scenarios::{parse_scenario_file, Scenario};
+use ptatin_core::models::falling_block::FallingBlockModel;
+use ptatin_core::models::rift::{rift_bc, RiftConfig, RiftModel};
+use ptatin_core::models::shear_band::ShearBandModel;
+use ptatin_core::models::solcx::SolCxModel;
+use ptatin_core::solver::build_stokes_solver;
+use ptatin_core::{update_coefficients, StateFields};
+use ptatin_mg::GmgCoarseSolver;
+use ptatin_mpm::points::MaterialPoints;
+use ptatin_ops::assembled_viscous_op;
+use ptatin_rheology::MaterialTable;
+
+/// A production solver together with the inputs it was built from.
+struct ProductionBuild {
+    label: String,
+    hier: MeshHierarchy,
+    bcs: Vec<DirichletBc>,
+    /// Fine-level quadrature-point viscosity the build evaluated.
+    eta_qp: Vec<f64>,
+    /// Corner viscosity the build started from (`None`: analytic η).
+    eta_corner: Option<Vec<f64>>,
+    gmg: GmgConfig,
+    solver: StokesSolver,
+}
+
+/// Build a scenario's solver through the production builder with its own
+/// `GmgConfig`, at the coefficient state of its bc-lifted initial
+/// velocity (the state of its first Picard linearization).
+#[allow(clippy::too_many_arguments)]
+fn corner_field_build(
+    label: String,
+    mesh: StructuredMesh,
+    levels: usize,
+    bc: &dyn Fn(&StructuredMesh) -> DirichletBc,
+    points: &MaterialPoints,
+    materials: &MaterialTable,
+    temperature: Option<&[f64]>,
+    gmg: &GmgConfig,
+) -> ProductionBuild {
+    assert!(gmg.geometric_averaging, "{label}");
+    let hier = MeshHierarchy::new(mesh, levels);
+    let bcs: Vec<DirichletBc> = hier.meshes.iter().map(bc).collect();
+    let tables = Q2QuadTables::standard();
+    let fine = hier.finest();
+    let mut u = vec![0.0; 3 * fine.num_nodes()];
+    bcs[levels - 1].apply_to_vector(&mut u);
+    let state = StateFields {
+        velocity: Some(&u),
+        pressure: None,
+        temperature,
+    };
+    let fields = update_coefficients(fine, &tables, points, materials, &state, false);
+    let eta_qp = projection::corners_to_quadrature_log(fine, &tables, &fields.eta_corner);
+    let solver = build_stokes_solver(&hier, &fields.eta_corner, &bcs, gmg, None);
+    ProductionBuild {
+        label,
+        hier,
+        bcs,
+        eta_qp,
+        eta_corner: Some(fields.eta_corner),
+        gmg: gmg.clone(),
+        solver,
+    }
+}
+
+/// The rift reference and every checked-in scenario file.
+fn production_builds() -> Vec<ProductionBuild> {
+    let rift_cfg = RiftConfig::default();
+    let rift = RiftModel::new(rift_cfg.clone());
+    let (v_ext, v_short) = (rift_cfg.extension_velocity, rift_cfg.shortening_velocity);
+    let mut builds = vec![corner_field_build(
+        "rift".into(),
+        rift.mesh.clone(),
+        rift_cfg.levels,
+        &|m| rift_bc(m, v_ext, v_short),
+        &rift.points,
+        &rift.materials,
+        Some(&rift.temperature),
+        &rift_cfg.gmg,
+    )];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/scenarios");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "scn"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 3, "scenario files missing from {dir:?}");
+    for path in files {
+        let label = path.file_name().unwrap().to_string_lossy().into_owned();
+        let scenario = parse_scenario_file(&path).unwrap().scenario;
+        builds.push(match scenario {
+            Scenario::FallingBlock(cfg) => {
+                let model = FallingBlockModel::new(cfg.clone());
+                corner_field_build(
+                    label,
+                    model.mesh.clone(),
+                    cfg.levels,
+                    &|m| falling_block_bc(m, cfg.top_free_slip),
+                    &model.points,
+                    &model.materials,
+                    None,
+                    &cfg.gmg,
+                )
+            }
+            Scenario::ShearBand(cfg) => {
+                let model = ShearBandModel::new(cfg.clone());
+                corner_field_build(
+                    label,
+                    model.mesh.clone(),
+                    cfg.levels,
+                    &|m| shear_band_bc(m, cfg.compression_velocity, cfg.top_free_slip),
+                    &model.points,
+                    &model.materials,
+                    None,
+                    &cfg.gmg,
+                )
+            }
+            Scenario::SolCx(cfg) => {
+                let model = SolCxModel::new(cfg.clone());
+                let solver = model.build_solver();
+                let tables = Q2QuadTables::standard();
+                let fine = model.hier.finest();
+                let nqp = tables.nqp();
+                let mut eta_qp = vec![0.0; fine.num_elements() * nqp];
+                for e in 0..fine.num_elements() {
+                    let corners = fine.element_corner_coords(e);
+                    for q in 0..nqp {
+                        let x =
+                            ptatin_fem::geometry::map_to_physical(&corners, tables.quad.points[q]);
+                        eta_qp[e * nqp + q] = model.exact.eta(x);
+                    }
+                }
+                let gmg = GmgConfig {
+                    levels: cfg.levels,
+                    fine_kind: cfg.fine_kind,
+                    ..GmgConfig::default()
+                };
+                ProductionBuild {
+                    label,
+                    hier: model.hier,
+                    bcs: model.bcs,
+                    eta_qp,
+                    eta_corner: None,
+                    gmg,
+                    solver,
+                }
+            }
+            other => panic!("{label}: no production-path guard for {}", other.kind()),
+        });
+    }
+    builds
+}
+
+fn assert_bitwise(label: &str, what: &str, got: &[f64], want: &[f64]) {
+    assert_eq!(got.len(), want.len(), "{label}: {what} length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{label}: {what} differs at {i}");
+    }
+}
+
+#[test]
+fn production_fine_level_is_matrix_free() {
+    // Production must smooth and run its Picard matvec through the
+    // operator `fine_kind` names — the batched SIMD kernel by default,
+    // the scalar tensor kernel where solcx.scn pins it — while the
+    // Galerkin coarse level is still RAP of the assembled fine matrix.
+    // Only `fine_kind = Assembled` may put a CSR matrix on the fine level.
+    let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    par::set_num_threads(1);
+    let tables = Q2QuadTables::standard();
+    let mut rng = SplitMix64::seed_from_u64(2026);
+    for b in production_builds() {
+        let label = b.label.as_str();
+        let want_kind = if label == "solcx.scn" {
+            OperatorKind::Tensor
+        } else {
+            OperatorKind::TensorBatched
+        };
+        assert_eq!(b.gmg.fine_kind, want_kind, "{label}: production fine_kind");
+        assert_eq!(b.hier.num_levels(), 2, "{label}: guard assumes 2 levels");
+        assert!(b.gmg.galerkin_coarsest, "{label}");
+        let fine = b.hier.finest();
+        let fine_bc = &b.bcs[1];
+        let top = b.solver.mg.levels.last().unwrap();
+        assert!(
+            top.matrix().is_none(),
+            "{label}: finest level holds an assembled matrix"
+        );
+        assert!(
+            top.fused_plan_ref().is_none(),
+            "{label}: finest level holds a fused plan"
+        );
+
+        // The Krylov matvec (and the level operator it shares) is the
+        // matrix-free kernel on the same η and bc.
+        let reference = build_viscous_operator(want_kind, fine, b.eta_qp.clone(), fine_bc);
+        let x = random_vector(&mut rng, b.solver.nu);
+        let (mut got, mut want) = (vec![0.0; b.solver.nu], vec![0.0; b.solver.nu]);
+        b.solver.a_fine.apply(&x, &mut got);
+        reference.apply(&x, &mut want);
+        assert_bitwise(label, "a_fine", &got, &want);
+
+        // The Galerkin coarse matrix is RAP of the assembled fine matrix.
+        let a_fine = assembled_viscous_op(fine, &tables, &b.eta_qp, fine_bc);
+        let masks: Vec<Vec<bool>> = b
+            .hier
+            .meshes
+            .iter()
+            .zip(&b.bcs)
+            .map(|(m, bc)| bc.mask(3 * m.num_nodes()))
+            .collect();
+        let mut p = expand_blocked(&prolongation_scalar(&b.hier.meshes[0], fine), 3);
+        filter_transfer(&mut p, &masks[1], &masks[0]);
+        let ac = galerkin_coarse(&a_fine, &p, &masks[0]);
+        match &b.solver.mg.coarse {
+            GmgCoarseSolver::InexactCgAsm { a, .. } => {
+                assert_eq!(a.indptr, ac.indptr, "{label}: coarse pattern");
+                assert_eq!(a.indices, ac.indices, "{label}: coarse pattern");
+                assert_bitwise(label, "coarse matrix", &a.values, &ac.values);
+            }
+            GmgCoarseSolver::Direct(chol) => {
+                let order = nested_dissection_order(&b.hier.meshes[0], 3);
+                let reference = SparseCholesky::new(&ac, &order);
+                let r = random_vector(&mut rng, ac.nrows());
+                let (mut got, mut want) = (vec![0.0; ac.nrows()], vec![0.0; ac.nrows()]);
+                chol.apply(&r, &mut got);
+                reference.apply(&r, &mut want);
+                assert_bitwise(label, "coarse solve", &got, &want);
+            }
+            _ => panic!("{label}: unexpected production coarse solver"),
+        }
+
+        // Asking for an assembled fine level still gets one.
+        if let Some(eta_corner) = &b.eta_corner {
+            let gmg = GmgConfig {
+                fine_kind: OperatorKind::Assembled,
+                ..b.gmg.clone()
+            };
+            let csr = build_stokes_solver(&b.hier, eta_corner, &b.bcs, &gmg, None);
+            let top = csr.mg.levels.last().unwrap();
+            let a = top.matrix().expect("fine_kind = Assembled keeps the CSR");
+            assert_bitwise(label, "assembled fine level", &a.values, &a_fine.values);
+            csr.a_fine.apply(&x, &mut got);
+            a_fine.apply(&x, &mut want);
+            assert_bitwise(label, "assembled a_fine", &got, &want);
+        }
+    }
+    par::set_num_threads(0);
+}

@@ -14,6 +14,7 @@
 //! these explicit sweeps (scripts/ci.sh).
 
 use ptatin_bench::{paper_gmg_config, sinker_setup};
+use ptatin_core::models::falling_block::{FallingBlockConfig, FallingBlockModel};
 use ptatin_core::solver::{CoarseKind, GmgConfig, KrylovOperatorChoice};
 use ptatin_la::chebyshev::Chebyshev;
 use ptatin_la::csr::Csr;
@@ -188,6 +189,41 @@ fn batched_operator_invariant_and_bitwise() {
             b.x[i].to_bits(),
             "batched: solution must be bitwise reproducible at fixed nt (dof {i})"
         );
+    }
+}
+
+#[test]
+fn falling_block_nonlinear_solve_bitwise_across_thread_counts() {
+    // A whole production nonlinear solve: Picard then Newton
+    // re-linearizations rebuilt through the setup cache, a batched
+    // matrix-free fine level (smoother, λ estimate, Krylov matvec and
+    // Newton action) and the direct coarse solve. Every reduction is
+    // grouped by problem size alone and every operator apply writes
+    // disjoint rows, so the solve must be bitwise identical at nt = 1
+    // and 4. CI also runs this under PTATIN_NO_AVX=1 for the portable
+    // kernel.
+    let _g = NT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let run = |nt: usize| {
+        par::set_num_threads(nt);
+        let cfg = FallingBlockConfig {
+            m: 4,
+            ..FallingBlockConfig::default()
+        };
+        assert_eq!(cfg.gmg.fine_kind, OperatorKind::TensorBatched);
+        let report = FallingBlockModel::new(cfg).solve();
+        par::set_num_threads(0);
+        report
+    };
+    let a = run(1);
+    let b = run(4);
+    assert!(a.stats.outcome.is_acceptable(), "{:?}", a.stats);
+    assert_eq!(a.stats.iterations, b.stats.iterations, "Newton count");
+    assert_eq!(a.stats.total_krylov, b.stats.total_krylov, "Krylov count");
+    for (i, (p, q)) in a.velocity.iter().zip(&b.velocity).enumerate() {
+        assert_eq!(p.to_bits(), q.to_bits(), "velocity dof {i} differs");
+    }
+    for (i, (p, q)) in a.pressure.iter().zip(&b.pressure).enumerate() {
+        assert_eq!(p.to_bits(), q.to_bits(), "pressure dof {i} differs");
     }
 }
 
